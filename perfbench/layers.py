@@ -121,6 +121,18 @@ class TimingRawFile(RawFile):
         finally:
             self._tracer._exit(frame)
 
+    def _wrote(self, n: int) -> int:
+        self._tracer.record("proxy_bytes_written", n)
+        return n
+
+    def _got(self, data: bytes) -> bytes:
+        self._tracer.record("proxy_bytes_read", len(data))
+        return data
+
+    def _got_all(self, pieces: list[bytes]) -> list[bytes]:
+        self._tracer.record("proxy_bytes_read", sum(len(p) for p in pieces))
+        return pieces
+
     def seek(self, offset: int, whence: int = 0) -> int:
         return self._call("seek", offset, whence)
 
@@ -128,13 +140,15 @@ class TimingRawFile(RawFile):
         return self._call("tell")
 
     def read(self, n: int = -1) -> bytes:
-        return self._call("read", n)
+        return self._got(self._call("read", n))
 
     def write(self, data) -> int:
-        return self._call("write", data)
+        return self._wrote(self._call("write", data))
 
     def write_zeros(self, n: int) -> int:
-        return self._call("write_zeros", n)
+        n = self._call("write_zeros", n)
+        self._tracer.record("proxy_zero_bytes", n)
+        return n
 
     def truncate(self, size: int) -> None:
         self._call("truncate", size)
@@ -146,22 +160,22 @@ class TimingRawFile(RawFile):
         self._call("close")
 
     def pwrite(self, offset: int, data) -> int:
-        return self._call("pwrite", offset, data)
+        return self._wrote(self._call("pwrite", offset, data))
 
     def pread(self, offset: int, n: int) -> bytes:
-        return self._call("pread", offset, n)
+        return self._got(self._call("pread", offset, n))
 
     def pwritev(self, offset: int, views: Sequence) -> int:
-        return self._call("pwritev", offset, views)
+        return self._wrote(self._call("pwritev", offset, views))
 
     def preadv(self, offset: int, sizes: Sequence[int]) -> list[bytes]:
-        return self._call("preadv", offset, sizes)
+        return self._got_all(self._call("preadv", offset, sizes))
 
     def scatter_write(self, fragments) -> int:
-        return self._call("scatter_write", list(fragments))
+        return self._wrote(self._call("scatter_write", list(fragments)))
 
     def gather_read(self, requests: Sequence) -> list[bytes]:
-        return self._call("gather_read", requests)
+        return self._got_all(self._call("gather_read", requests))
 
 
 class TimingBackend(Backend):
@@ -197,13 +211,8 @@ class TimingBackend(Backend):
 # Hooks.
 
 
-def install(tracer: Tracer, patches: Patches, extra_delay_s: float = 0.0) -> None:
-    """Wrap every layer's public functions; ``patches.restore()`` undoes it.
-
-    ``extra_delay_s`` busy-waits that long inside every planner call; the
-    attribution self-test uses it to inject a known slowdown into one
-    layer.
-    """
+def install(tracer: Tracer, patches: Patches) -> None:
+    """Wrap every layer's public functions; ``patches.restore()`` undoes it."""
     import repro.fs.events as events
     import repro.sion.openspec as openspec
     import repro.sion.parallel as parallel
@@ -214,10 +223,7 @@ def install(tracer: Tracer, patches: Patches, extra_delay_s: float = 0.0) -> Non
     from repro.sion.format import Metablock1, Metablock2
 
     for attr in ("compile_write_plan", "compile_read_plan"):
-        fn = getattr(openspec, attr)
-        if extra_delay_s:
-            fn = _delayed(fn, extra_delay_s)
-        patches.set(openspec, attr, tracer.wrap(fn, "sion.openspec", "compile_plan", False))
+        patches.wrap(tracer, openspec, attr, "sion.openspec", "compile_plan")
     patches.wrap(tracer, parallel, "open_access", "sion.openspec", "open_access")
 
     for cls in (Metablock1, Metablock2):
@@ -240,16 +246,6 @@ def install(tracer: Tracer, patches: Patches, extra_delay_s: float = 0.0) -> Non
     patches.wrap(tracer, FlowScheduler, "submit", "fs.flows")
     patches.wrap(tracer, events.Engine, "run", "fs.flows", "engine_run", keep=True)
     patches.wrap(tracer, bandwidth, "parallel_io", "fs.flows", keep=True)
-
-
-def _delayed(fn, delay_s: float):
-    def slowed(*args, **kwargs):
-        end = time.perf_counter() + delay_s
-        while time.perf_counter() < end:
-            pass
-        return fn(*args, **kwargs)
-
-    return slowed
 
 
 def _encode_wrapper(tracer: Tracer, fn):
@@ -367,18 +363,20 @@ def layer_metrics(tracer: Tracer, rep: dict) -> dict[str, float]:
 def cross_check(tracer: Tracer, rep: dict) -> list[str]:
     """Disagreements between the wraps and the library's own counters."""
     errors = []
-    io = rep.get("io")
-    if io is not None:
-        for label, methods, key in (
-            ("write", DATA_WRITE_METHODS, "data_write_calls"),
-            ("read", DATA_READ_METHODS, "data_read_calls"),
-        ):
-            mine = sum(tracer.count(BACKEND, x) for x in methods)
-            if mine != io[key]:
-                errors.append(
-                    f"timing proxy saw {mine} data {label} calls, "
-                    f"CountingBackend {io[key]}"
-                )
+    store = rep.get("store")
+    if store is not None:
+        # The store's own byte accounting sits below every wrap, so a
+        # data call that bypassed the proxy, or one it counted twice,
+        # shows as a difference.
+        values = tracer.values
+        written = sum(values.get("proxy_bytes_written", ()))
+        if store["zeros_written"]:
+            written += sum(values.get("proxy_zero_bytes", ()))
+        read = sum(values.get("proxy_bytes_read", ()))
+        for label, mine in (("written", written), ("read", read)):
+            if mine != store[label]:
+                errors.append(f"timing proxy saw {mine} bytes {label}, "
+                              f"the store accounted {store[label]}")
     if rep.get("ranks"):
         bodies = tracer.count("simmpi", "rank_execution")
         if bodies != rep["executions"]:

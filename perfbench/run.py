@@ -2,7 +2,7 @@
 
 Usage (from the root of the repository)::
 
-    python3 perfbench/run.py --workload ckpt-16k --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload ckpt-16k --seed 1 --seconds 30 --trace 0
 
 The last line of standard output is one JSON object with ``correct``,
 ``attempted``, ``failed`` and ``metrics``.  With ``--trace 0`` the metrics
@@ -16,6 +16,7 @@ the Chrome trace and the per-layer self-time table go to
 from __future__ import annotations
 
 import argparse
+import ctypes
 import gc
 import hashlib
 import json
@@ -36,6 +37,26 @@ END_TO_END = (("setup_s", "s"), ("work_s", "s"), ("peak_rss_mb", "MiB"))
 #: Traced repetitions per traced run (the exact counters are compared
 #: between them).
 TRACED_REPS = 2
+
+
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim  # glibc
+except (OSError, AttributeError):
+    _malloc_trim = None
+
+
+def release_memory() -> None:
+    """Collect garbage and hand the freed heap back to the OS.
+
+    Called before every set-up and repetition, so each one starts from a
+    trimmed heap: the peak resident set then shows one repetition's
+    footprint, not how many repetitions fitted in the time budget (glibc
+    otherwise keeps freed buffers in the pool threads' arenas, and the
+    resident set climbs with every round).
+    """
+    gc.collect()
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 def peak_rss_mb() -> float:
@@ -74,7 +95,7 @@ def measure(workload, ctx, seconds: float, min_reps: int, max_reps: int | None =
     setups = []
     state = None
     for i in range(workload.SETUP_REPS):
-        gc.collect()
+        release_memory()
         t0 = time.perf_counter()
         state = workload.setup(ctx)
         setups.append(time.perf_counter() - t0)
@@ -87,6 +108,7 @@ def measure(workload, ctx, seconds: float, min_reps: int, max_reps: int | None =
             time.perf_counter() - t_start < seconds
             and (max_reps is None or len(reps) < max_reps)
         ):
+            release_memory()
             if ctx.tracer is not None:
                 ctx.tracer.reset()
                 before = ctx.counting.snapshot() if ctx.counting is not None else None

@@ -1,7 +1,7 @@
 """Self-tests of the benchmark: the tracer, and attribution of a slowdown.
 
 Run from the root of the repository (not part of the tier-1 suite; the
-whole file takes about five minutes on two cores)::
+whole file takes five to ten minutes on two cores)::
 
     python3 -m pytest perfbench/test_perfbench.py -q
 """
@@ -34,21 +34,36 @@ def bound(metric: str) -> float:
     return next(m["bound"] for m in spec["end_to_end"] if m["name"] == metric)
 
 
+def delayed(fn, delay_s: float):
+    """``fn`` with a busy-wait of ``delay_s`` before every call."""
+
+    def slowed(*args, **kwargs):
+        end = time.perf_counter() + delay_s
+        while time.perf_counter() < end:
+            pass
+        return fn(*args, **kwargs)
+
+    return slowed
+
+
 def one_rep(name: str, tmp_path: Path, seconds: float, traced: bool, delay: float):
     """One repetition of a workload, optionally traced, optionally slowed.
 
-    Returns the repetition's result and the tracer (``None`` untraced).
+    The slowdown is patched into the planner first, so the traced wrap
+    installed on top of it puts the busy-wait inside the ``compile_plan``
+    frame.  Returns the repetition's result and the tracer (``None``
+    untraced).
     """
+    import repro.sion.openspec as openspec
+
     tracer = Tracer() if traced else None
     ctx = wl.Context(7, seconds, tmp_path, tracer=tracer)
     with Patches() as patches:
-        if traced:
-            layers.install(tracer, patches, extra_delay_s=delay)
-        elif delay:
-            import repro.sion.openspec as openspec
-
+        if delay:
             for attr in ("compile_write_plan", "compile_read_plan"):
-                patches.set(openspec, attr, layers._delayed(getattr(openspec, attr), delay))
+                patches.set(openspec, attr, delayed(getattr(openspec, attr), delay))
+        if traced:
+            layers.install(tracer, patches)
         _, reps = run.measure(wl.WORKLOADS[name](), ctx, 0.0, min_reps=1, max_reps=1)
     return reps[0], tracer
 
