@@ -2,7 +2,7 @@
 
 Usage (from the root of the repository)::
 
-    python3 perfbench/run.py --workload ckpt-16k --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload ckpt-16k --seed 1 --seconds 45 --trace 0
 
 The last line of standard output is one JSON object with ``correct``,
 ``attempted``, ``failed`` and ``metrics``.  With ``--trace 0`` the metrics
