@@ -413,7 +413,7 @@ class SimFS:
         self._root = _Inode("dir")
         self.clock = 0.0
         self.op_counts: dict[str, int] = {}
-        # SPMD workloads drive many rank threads (or bulk-engine workers)
+        # Thread-engine SPMD workloads drive many rank threads
         # into one SimFS concurrently; extent-list surgery and the clock
         # accounting are multi-step and must not interleave.  Reentrant:
         # data ops account inside the same critical section.

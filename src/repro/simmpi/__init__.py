@@ -13,7 +13,7 @@ deterministically in a single process:
 [6, 6, 6, 6]
 """
 
-from repro.simmpi.bulk import BulkComm, default_nworkers, run_spmd_bulk
+from repro.simmpi.bulk import BulkComm, run_spmd_bulk
 from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, COMM_NULL, Comm
 from repro.simmpi.proc import ProcComm, run_spmd_proc
 from repro.simmpi.runner import (
@@ -33,7 +33,6 @@ __all__ = [
     "ENGINES",
     "ProcComm",
     "default_bulk_nworkers",
-    "default_nworkers",
     "normalize_engine",
     "run_spmd",
     "run_spmd_bulk",

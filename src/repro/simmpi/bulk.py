@@ -3,9 +3,9 @@
 The default :func:`~repro.simmpi.runner.run_spmd` engine gives every rank
 its own OS thread, which is faithful but tops out around a few thousand
 ranks.  This module executes the same ``fn(comm, ...)`` programs
-*cooperatively* on a bounded worker pool, and — since the wave-vectorized
-rewrite — keeps the whole control plane in **flat per-wave arrays** so
-each rank costs O(1) python objects of engine state:
+*cooperatively* from one run queue on the caller's thread, and keeps the
+whole control plane in **flat per-wave arrays** so each rank costs O(1)
+python objects of engine state:
 
 * **Shared op log.**  Rank op sequences are interned opcode ids appended
   to :class:`_Program` rows *shared* by every rank that runs the same
@@ -34,7 +34,7 @@ stack, so cooperative scheduling is built on **memoized replay**:
 * a rank body runs until it hits a communication op whose result is not
   yet available (e.g. a barrier some ranks have not reached);
 * the op's deposit is recorded in the wave buffer, the rank is parked,
-  and its worker moves on to another rank;
+  and the engine moves on to the next runnable rank;
 * when the op completes, parked ranks re-run **from the top** — every
   communication op they already completed returns its column value
   instantly and with no side effects, so the body deterministically
@@ -57,8 +57,9 @@ parks on (roughly the program's collective depth), not by world size.
    while a suspension unwinds may *call* communication ops safely: they
    re-suspend without touching any state, and the cleanup re-runs for
    real on replay.
-3. Busy-wait loops over ``iprobe()``/``Request.test()`` never yield the
-   worker; use blocking ``recv``/``wait`` instead.
+3. A rank is suspended only at an unready blocking op, so busy-wait
+   loops over ``iprobe()``/``Request.test()`` never let the awaited rank
+   run; use blocking ``recv``/``wait`` instead.
 4. ``allgather``/``allreduce`` results are computed once and **shared**
    between ranks (the thread engine hands each rank a private copy);
    treat them as read-only.
@@ -77,6 +78,13 @@ returns at the root immediately, a gather blocks only the root, a barrier
 blocks everyone.  Programs that relied on the thread engine's accidental
 barrier-per-collective behavior should add explicit barriers.
 
+Ranks never run concurrently: a rank body that blocks on the OS (a
+sleep, a slow read) holds up the whole world for that long.  The engine
+needs no locks, and a world whose run queue drains while ranks are still
+parked is a deadlock, reported at once.  ``timeout`` is a *stall* bound
+checked between executions: it fires only when nothing has advanced for
+that long, never on a healthy long run.
+
 Pass ``stats={}`` to :func:`run_spmd_bulk` (or ``engine_stats={}``
 through ``run_spmd``) to receive per-wave timing and replay counters —
 the raw material of the ``scale`` suite's phase breakdown.
@@ -84,7 +92,6 @@ the raw material of the ``scale`` suite's phase breakdown.
 
 from __future__ import annotations
 
-import threading
 import time
 from array import array
 from collections import deque
@@ -98,18 +105,6 @@ from repro.errors import (
     SimMPIError,
 )
 from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, COMM_NULL, _copy_payload, _fold
-
-
-def default_nworkers() -> int:
-    """Bounded pool size: enough to overlap I/O, few enough to stay cheap.
-
-    Thin re-export: the actual default lives in
-    :func:`repro.simmpi.runner.default_bulk_nworkers`, the single source
-    of truth the ``run_spmd`` docstring refers to.
-    """
-    from repro.simmpi.runner import default_bulk_nworkers
-
-    return default_bulk_nworkers()
 
 
 class _Suspend(BaseException):
@@ -190,7 +185,7 @@ class _Col:
         self.dense: Any = None
 
     def put(self, grank: int, value: Any, engine_size: int) -> None:
-        """Record ``value`` for ``grank`` (caller holds the program lock)."""
+        """Record ``value`` for ``grank``."""
         mode = self.mode
         if mode == 2:
             self.dense[grank] = value
@@ -210,15 +205,12 @@ class _Col:
             dense.fill(self.value)
             for g, v in exc.items():
                 dense[g] = v
-            # Publish dense before flipping the mode: lock-free readers
-            # observe either the old uniform view or the complete dense
-            # one (the exceptions dict is kept so a stale mode-1 read
-            # stays correct).
             self.dense = dense
+            self.exc = None
             self.mode = 2
 
     def get(self, grank: int) -> Any:
-        """Logged value for ``grank`` (lock-free; replay hot path)."""
+        """Logged value for ``grank`` (replay hot path)."""
         mode = self.mode
         if mode == 1:
             exc = self.exc
@@ -423,33 +415,32 @@ class BulkComm:
         """Record a completed frontier op in the (shared) program row."""
         engine = self._engine
         g = self._grank
-        with engine.proglock:
-            self._verify_frontier(ex)
-            prog, k = ex.prog, ex.cursor
-            if k < len(prog.ops):
-                if prog.ops[k] == opid:
-                    prog.cols[k].put(g, value, engine.size)
-                else:
-                    # This rank diverges from the row it shared: branch to
-                    # (or create) the child row for its op, sharing the
-                    # common-prefix columns by reference.
-                    child = prog.branches.get((k, opid))
-                    if child is None:
-                        fps = prog.fps[: k + 1]
-                        fps.append(_fp_step(fps[-1], opid))
-                        child = _Program(
-                            prog.ops[:k] + [opid], prog.cols[:k] + [_Col()], fps
-                        )
-                        prog.branches[(k, opid)] = child
-                    child.cols[k].put(g, value, engine.size)
-                    engine.progs[g] = ex.prog = child
+        self._verify_frontier(ex)
+        prog, k = ex.prog, ex.cursor
+        if k < len(prog.ops):
+            if prog.ops[k] == opid:
+                prog.cols[k].put(g, value, engine.size)
             else:
-                col = _Col()
-                col.put(g, value, engine.size)
-                prog.ops.append(opid)
-                prog.cols.append(col)
-                prog.fps.append(_fp_step(prog.fps[-1], opid))
-            engine.nops[g] = ex.nlogged = ex.cursor = k + 1
+                # This rank diverges from the row it shared: branch to
+                # (or create) the child row for its op, sharing the
+                # common-prefix columns by reference.
+                child = prog.branches.get((k, opid))
+                if child is None:
+                    fps = prog.fps[: k + 1]
+                    fps.append(_fp_step(fps[-1], opid))
+                    child = _Program(
+                        prog.ops[:k] + [opid], prog.cols[:k] + [_Col()], fps
+                    )
+                    prog.branches[(k, opid)] = child
+                child.cols[k].put(g, value, engine.size)
+                engine.progs[g] = ex.prog = child
+        else:
+            col = _Col()
+            col.put(g, value, engine.size)
+            prog.ops.append(opid)
+            prog.cols.append(col)
+            prog.fps.append(_fp_step(prog.fps[-1], opid))
+        engine.nops[g] = ex.nlogged = ex.cursor = k + 1
         return value
 
     def _op(self, opid: int, frontier: Callable[[], Any]) -> Any:
@@ -479,45 +470,44 @@ class BulkComm:
         if ex.suspending:
             raise _Suspend()
         if ex.cursor < ex.nlogged:
-            # Replay fast path: no lock, no deposit copy.
+            # Replay fast path: no deposit copy.
             return self._replay(ex, opid)
         world, lr = self._world, self._lrank
-        with engine.cond:
-            if engine.aborted:
-                raise SimMPIError("communicator aborted (another rank failed)")
-            k = world.consumed[lr]
-            wave = world.waves.get(k)
-            if wave is None:
-                wave = world.waves[k] = _Wave(opid, world.size)
-                wave.wake_root = wake_root
-            if wave.opid != opid:
-                engine.abort()
-                raise CollectiveMismatchError(
-                    "ranks disagree on collective operation: "
-                    f"{sorted((_OP_NAMES[wave.opid], _OP_NAMES[opid]))}"
-                )
-            if not wave.deposited[lr]:
-                wave.deposited[lr] = True
-                wave.slots[lr] = _copy_payload(deposit) if copy else deposit
-                wave.filled += 1
-                engine.last_progress = time.monotonic()
-                if wave.filled == world.size or lr == wave.wake_root:
-                    engine.wake_wave(wave)
-            if not ready(wave):
-                nw = wave.nwaiters
-                wave.waiters[nw] = g
-                wave.nwaiters = nw + 1
-                engine.park_collective(g, opid, k, world.size)
-                ex.suspending = True
-                raise _Suspend()
-            value = result(wave)
-            world.consumed[lr] = k + 1
-            wave.consumed += 1
-            if wave.consumed == world.size:
-                del world.waves[k]
-                engine.note_wave_done(world, wave)
-                if k == 0:
-                    engine.maybe_mark_uniform(world)
+        if engine.aborted:
+            raise SimMPIError("communicator aborted (another rank failed)")
+        k = world.consumed[lr]
+        wave = world.waves.get(k)
+        if wave is None:
+            wave = world.waves[k] = _Wave(opid, world.size)
+            wave.wake_root = wake_root
+        if wave.opid != opid:
+            engine.abort()
+            raise CollectiveMismatchError(
+                "ranks disagree on collective operation: "
+                f"{sorted((_OP_NAMES[wave.opid], _OP_NAMES[opid]))}"
+            )
+        if not wave.deposited[lr]:
+            wave.deposited[lr] = True
+            wave.slots[lr] = _copy_payload(deposit) if copy else deposit
+            wave.filled += 1
+            engine.last_progress = time.monotonic()
+            if wave.filled == world.size or lr == wave.wake_root:
+                engine.wake_wave(wave)
+        if not ready(wave):
+            nw = wave.nwaiters
+            wave.waiters[nw] = g
+            wave.nwaiters = nw + 1
+            engine.park_collective(g, opid, k, world.size)
+            ex.suspending = True
+            raise _Suspend()
+        value = result(wave)
+        world.consumed[lr] = k + 1
+        wave.consumed += 1
+        if wave.consumed == world.size:
+            del world.waves[k]
+            engine.note_wave_done(world, wave)
+            if k == 0:
+                engine.maybe_mark_uniform(world)
         return self._advance(ex, opid, value)
 
     # -- collectives ------------------------------------------------------
@@ -676,11 +666,9 @@ class BulkComm:
         engine = self._engine
 
         def frontier() -> None:
-            with engine.cond:
-                box = world.mailbox(dest)
-                box.messages.append((lr, tag, _copy_payload(value)))
-                engine.wake(box.waiters)
-            return None
+            box = world.mailbox(dest)
+            box.messages.append((lr, tag, _copy_payload(value)))
+            engine.wake(box.waiters)
 
         return self._op(_OP_SEND, frontier)
 
@@ -697,17 +685,14 @@ class BulkComm:
         engine = self._engine
 
         def frontier() -> Any:
-            with engine.cond:
-                if engine.aborted:
-                    raise SimMPIError("communicator aborted (another rank failed)")
-                box = world.mailbox(lr)
-                hit = box.match(source, tag)
-                if hit is None:
-                    box.waiters.add(self._grank)
-                    engine.park_recv(self._grank, source, tag)
-                    engine.execs[self._grank].suspending = True
-                    raise _Suspend()
-                return hit
+            box = world.mailbox(lr)
+            hit = box.match(source, tag)
+            if hit is None:
+                box.waiters.add(self._grank)
+                engine.park_recv(self._grank, source, tag)
+                engine.execs[self._grank].suspending = True
+                raise _Suspend()
+            return hit
 
         src, tg, payload = self._op(_OP_RECV, frontier)
         if return_status:
@@ -738,15 +723,13 @@ class BulkComm:
         """True if a matching message is already waiting (not consumed).
 
         The probe is an op: its outcome is logged and replayed.  Spinning
-        on ``iprobe`` without an intervening blocking op never yields the
-        worker — use ``recv`` to wait.
+        on ``iprobe`` without an intervening blocking op never lets the
+        sender run — use ``recv`` to wait.
         """
         world, lr = self._world, self._lrank
-        engine = self._engine
 
         def frontier() -> bool:
-            with engine.cond:
-                return world.mailbox(lr).probe(source, tag)
+            return world.mailbox(lr).probe(source, tag)
 
         return self._op(_OP_IPROBE, frontier)
 
@@ -812,9 +795,7 @@ class BulkComm:
 
     def abort(self) -> None:
         """Abort the whole bulk world, failing every unfinished rank."""
-        engine = self._engine
-        with engine.cond:
-            engine.abort()
+        self._engine.abort()
 
     # -- internals ---------------------------------------------------------
 
@@ -892,16 +873,14 @@ class BulkRequest:
             return True, self._value
         comm = self._comm
         world, lr = comm._world, comm._lrank
-        engine = comm._engine
         source = self._source if self._source is not None else ANY_SOURCE
         tag = self._tag if self._tag is not None else ANY_TAG
 
         def frontier() -> tuple[bool, Any]:
-            with engine.cond:
-                hit = world.mailbox(lr).match(source, tag)
-                if hit is None:
-                    return False, None
-                return True, hit[2]
+            hit = world.mailbox(lr).match(source, tag)
+            if hit is None:
+                return False, None
+            return True, hit[2]
 
         done, payload = comm._op(_OP_TRYRECV, frontier)
         if done:
@@ -931,12 +910,12 @@ _WAVE_LOG_CAP = 4096
 
 
 class _BulkEngine:
-    """Worklist scheduler executing logical ranks on a bounded pool.
+    """Run-queue scheduler executing logical ranks on the caller's thread.
 
     All persistent per-rank state is packed into flat arrays (program
     row refs, op counts, scheduler flags, parked-on descriptors); the
     only per-rank python objects are the transient :class:`_Exec` of the
-    ranks currently on a worker and whatever the rank bodies themselves
+    rank currently executing and whatever the rank bodies themselves
     allocate.
     """
 
@@ -947,7 +926,6 @@ class _BulkEngine:
         args: tuple,
         kwargs: dict,
         timeout: float | None,
-        nworkers: int | None,
         stats: dict | None = None,
     ) -> None:
         if nprocs < 1:
@@ -958,18 +936,12 @@ class _BulkEngine:
         self.kwargs = kwargs
         self.timeout = timeout
         self.stats = stats
-        #: Monotonic time of the last scheduler progress (op completion,
-        #: wake, rank finishing).  The timeout is a *stall* bound — it
-        #: fires only when nothing has advanced for ``timeout`` seconds,
+        #: Monotonic time of the last scheduler progress (deposit, wake,
+        #: rank finishing).  The timeout is a *stall* bound — it fires
+        #: only when nothing has advanced for ``timeout`` seconds,
         #: matching the thread engine's per-wait semantics rather than
         #: capping healthy long runs.
         self.last_progress = time.monotonic()
-        self.nworkers = max(1, nworkers if nworkers is not None else default_nworkers())
-        self.cond = threading.Condition()
-        #: Guards program rows, columns and the ``progs``/``nops`` arrays.
-        #: Leaf lock: may be taken while holding ``cond``, never the
-        #: reverse.  Replay reads are lock-free (GIL-ordered stores).
-        self.proglock = threading.Lock()
 
         # Flat per-rank state: one shared program row at the start, zero
         # logged ops, every rank runnable and parked on "start".
@@ -983,12 +955,8 @@ class _BulkEngine:
         # views — same memory.
         self.done_b = bytearray(nprocs)
         self.queued_b = bytearray(b"\x01" * nprocs)
-        self.running_b = bytearray(nprocs)
-        self.rewake_b = bytearray(nprocs)
         self.done_v = np.frombuffer(self.done_b, dtype=np.bool_)
         self.queued_v = np.frombuffer(self.queued_b, dtype=np.bool_)
-        self.running_v = np.frombuffer(self.running_b, dtype=np.bool_)
-        self.rewake_v = np.frombuffer(self.rewake_b, dtype=np.bool_)
 
         # Parked-on descriptors, packed; formatted lazily by
         # ``_parked_desc`` only when a stuck world is reported.
@@ -1002,37 +970,27 @@ class _BulkEngine:
         self.results: list[Any] = [None] * nprocs
         self.failures: dict[int, BaseException] = {}
         self.ndone = 0
-        self.active = 0
         self.aborted = False
-        self.finished = False
         self.timed_out = False
 
         # Stats counters (satellite telemetry, no hot-path cost beyond
         # the per-wave append).
         self.nexecs = 0
-        self.nprograms = 1
         self.wave_log: list[tuple[int, str, float, float]] = []
         self.wave_log_dropped = 0
 
-    # -- scheduler state transitions (call with ``self.cond`` held) --------
+    # -- scheduler state transitions ----------------------------------------
 
     def wake(self, waiters: set[int]) -> None:
-        """Move parked ranks back onto the run queue (or defer: a rank
-        whose previous execution is still unwinding re-queues when its
-        worker releases it).  Set-based path for mailbox waiters."""
+        """Move parked ranks back onto the run queue (mailbox waiters)."""
         if not waiters:
             return
         self.last_progress = time.monotonic()
         for grank in waiters:
-            if self.done_b[grank] or self.queued_b[grank]:
-                continue
-            if self.running_b[grank]:
-                self.rewake_b[grank] = 1
-            else:
+            if not (self.done_b[grank] or self.queued_b[grank]):
                 self.queued_b[grank] = 1
                 self.runnable.append(grank)
         waiters.clear()
-        self.cond.notify_all()
 
     def wake_wave(self, wave: _Wave) -> None:
         """Wake a wave's parked ranks — vectorized over the flag views."""
@@ -1044,22 +1002,14 @@ class _BulkEngine:
         if nw < _WAKE_VECTOR_MIN:
             for i in range(nw):
                 grank = int(wave.waiters[i])
-                if self.done_b[grank] or self.queued_b[grank]:
-                    continue
-                if self.running_b[grank]:
-                    self.rewake_b[grank] = 1
-                else:
+                if not (self.done_b[grank] or self.queued_b[grank]):
                     self.queued_b[grank] = 1
                     self.runnable.append(grank)
         else:
             w = wave.waiters[:nw]
             w = w[~(self.done_v[w] | self.queued_v[w])]
-            running = self.running_v[w]
-            self.rewake_v[w[running]] = True
-            go = w[~running]
-            self.queued_v[go] = True
-            self.runnable.extend(go.tolist())
-        self.cond.notify_all()
+            self.queued_v[w] = True
+            self.runnable.extend(w.tolist())
 
     def park_collective(self, grank: int, opid: int, k: int, wsize: int) -> None:
         self.parked_kind[grank] = 1
@@ -1100,20 +1050,15 @@ class _BulkEngine:
         opcode compares.  Ranks that later diverge simply branch to
         unflagged child rows — the flag never needs revoking.
         """
-        with self.proglock:
-            progs = self.progs
-            first = progs[world.granks[0]]
-            for lr in range(1, world.size):
-                if progs[world.granks[lr]] is not first:
-                    return
-            first.uniform = True
+        progs = self.progs
+        first = progs[world.granks[0]]
+        for lr in range(1, world.size):
+            if progs[world.granks[lr]] is not first:
+                return
+        first.uniform = True
 
     def abort(self) -> None:
-        # The condition wraps an RLock, so this is safe both from worker
-        # context (lock already held) and from plain rank code.
-        with self.cond:
-            self.aborted = True
-            self.cond.notify_all()
+        self.aborted = True
 
     def _finish_rank(self, grank: int, result: Any) -> None:
         self.done_b[grank] = 1
@@ -1128,7 +1073,7 @@ class _BulkEngine:
         self.aborted = True
 
     def _declare_stuck(self) -> None:
-        """No runnable rank, no active worker, ranks unfinished: fail them."""
+        """Run queue empty or world aborted, ranks unfinished: fail them."""
         for grank in range(self.size):
             if self.done_b[grank]:
                 continue
@@ -1148,8 +1093,6 @@ class _BulkEngine:
                     "complete it"
                 )
             self._fail_rank(grank, exc)
-        self.finished = True
-        self.cond.notify_all()
 
     # -- execution ---------------------------------------------------------
 
@@ -1163,15 +1106,11 @@ class _BulkEngine:
         except _Suspend:
             return
         except BaseException as exc:  # noqa: BLE001 - fanned out to caller
-            with self.cond:
-                self._fail_rank(grank, exc)
-                self.cond.notify_all()
+            self._fail_rank(grank, exc)
             return
         finally:
             self.execs[grank] = None
-        with self.cond:
-            self._finish_rank(grank, result)
-            self.cond.notify_all()
+        self._finish_rank(grank, result)
 
     def _check_completed_replay(self, ex: _Exec, grank: int) -> None:
         """Deferred replay verification when a body returns mid-replay.
@@ -1194,59 +1133,6 @@ class _BulkEngine:
                 "mismatch); bulk-engine programs must be deterministic"
             )
 
-    def _worker(self) -> None:
-        while True:
-            with self.cond:
-                grank = None
-                while grank is None:
-                    if self.finished or self.ndone >= self.size:
-                        self.finished = True
-                        self.cond.notify_all()
-                        return
-                    if self.aborted and self.active == 0:
-                        self._declare_stuck()
-                        return
-                    if self.runnable and not self.aborted:
-                        grank = self.runnable.popleft()
-                        self.queued_b[grank] = 0
-                        if self.done_b[grank]:
-                            grank = None
-                            continue
-                        self.running_b[grank] = 1
-                        self.active += 1
-                        break
-                    if self.active == 0 and not self.runnable:
-                        self._declare_stuck()
-                        return
-                    remaining = None
-                    if self.timeout is not None:
-                        remaining = self.last_progress + self.timeout - time.monotonic()
-                        if remaining <= 0:
-                            if not self.timed_out:
-                                self.timed_out = True
-                                self.aborted = True
-                                self.cond.notify_all()
-                            if self.active == 0:
-                                self._declare_stuck()
-                                return
-                            # A worker is still executing a rank body; it
-                            # will fail at its next op and notify.  Wait —
-                            # spinning here would hold the condition lock
-                            # and starve that worker.
-                            remaining = 0.05
-                    self.cond.wait(timeout=remaining)
-            self._execute(grank)
-            with self.cond:
-                self.nexecs += 1
-                self.running_b[grank] = 0
-                self.active -= 1
-                if self.rewake_b[grank]:
-                    self.rewake_b[grank] = 0
-                    if not self.done_b[grank] and not self.queued_b[grank]:
-                        self.queued_b[grank] = 1
-                        self.runnable.append(grank)
-                self.cond.notify_all()
-
     def _fill_stats(self) -> None:
         stats = self.stats
         if stats is None:
@@ -1267,20 +1153,24 @@ class _BulkEngine:
         stats["waves_dropped"] = self.wave_log_dropped
 
     def run(self) -> list[Any]:
-        nworkers = min(self.nworkers, self.size)
-        if nworkers == 1:
-            self._worker()
-        else:
-            threads = [
-                threading.Thread(
-                    target=self._worker, name=f"bulk-worker-{i}", daemon=True
-                )
-                for i in range(nworkers)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+        """Pop and execute runnable ranks until every rank is done.
+
+        A rank body that parks has already queued whatever it made
+        runnable, so an empty queue with ranks unfinished is a deadlock.
+        The stall bound is checked before each execution.
+        """
+        runnable, timeout = self.runnable, self.timeout
+        while self.ndone < self.size and runnable and not self.aborted:
+            if timeout is not None and time.monotonic() - self.last_progress >= timeout:
+                self.timed_out = self.aborted = True
+                break
+            grank = runnable.popleft()
+            self.queued_b[grank] = 0
+            if not self.done_b[grank]:
+                self._execute(grank)
+                self.nexecs += 1
+        if self.ndone < self.size:
+            self._declare_stuck()
         self._fill_stats()
         if self.failures:
             from repro.simmpi.runner import spmd_failure_error
@@ -1294,19 +1184,19 @@ def run_spmd_bulk(
     fn: Callable[..., Any],
     *args: Any,
     timeout: float | None = None,
-    nworkers: int | None = None,
     stats: dict | None = None,
     **kwargs: Any,
 ) -> list[Any]:
     """Run ``fn(comm, *args, **kwargs)`` on ``nprocs`` cooperative ranks.
 
     Same result contract as :func:`repro.simmpi.runner.run_spmd`; see the
-    module docstring for the bulk-engine program contract.  Usually invoked
-    as ``run_spmd(..., engine="bulk")``.  If ``stats`` is a dict it is
+    module docstring for the bulk-engine program contract.  Every rank
+    body runs on the calling thread.  Usually invoked as
+    ``run_spmd(..., engine="bulk")``.  If ``stats`` is a dict it is
     filled with engine telemetry on return: ``executions`` (total body
     runs, replay multiplier included), ``programs``/``uniform_programs``
     (shared op-log rows), and ``waves`` — up to ``_WAVE_LOG_CAP``
     ``(world_size, opname, t_created, t_completed)`` tuples the scale
     suite turns into its per-phase breakdown.
     """
-    return _BulkEngine(nprocs, fn, args, kwargs, timeout, nworkers, stats).run()
+    return _BulkEngine(nprocs, fn, args, kwargs, timeout, stats).run()

@@ -34,15 +34,12 @@ _ENGINE_ALIASES = {"thread": "threads", "processes": "proc", "process": "proc"}
 
 
 def default_bulk_nworkers() -> int:
-    """Bulk-engine pool default: ``min(32, (os.cpu_count() or 1) * 4)``.
+    """Threads the bulk engine runs ranks on: always 1.
 
-    Defined here — next to the engine dispatch that documents it — as the
-    single source of truth; :mod:`repro.simmpi.bulk` re-exports it as
-    ``default_nworkers``.  The ``or 1`` guard matters: ``os.cpu_count()``
-    may return ``None`` (e.g. some containers), and the pool must never
-    be empty.
+    The bulk engine executes every rank body on the thread that called
+    :func:`run_spmd`; this stays for callers that record it.
     """
-    return min(32, (os.cpu_count() or 1) * 4)
+    return 1
 
 
 def normalize_engine(engine: str) -> str:
@@ -82,7 +79,6 @@ def run_spmd(
     *args: Any,
     timeout: Any = _TIMEOUT_UNSET,
     engine: str = "threads",
-    nworkers: int | None = None,
     engine_stats: dict | None = None,
     **kwargs: Any,
 ) -> list[Any]:
@@ -104,13 +100,13 @@ def run_spmd(
     engine:
         ``"threads"`` (default) runs one OS thread per rank — fully
         preemptive, supports arbitrary blocking programs, practical up to
-        a few thousand ranks.  ``"bulk"`` runs ranks cooperatively on a
-        bounded worker pool with wave-vectorized collectives: op logs are
-        shared program rows of interned opcode ids, per-op results live
-        in per-position value columns, and each collective is one
-        preallocated wave buffer — O(1) python objects of engine state
-        per rank, practical to a million ranks.  Rank bodies may be
-        re-executed when a collective unblocks (see
+        a few thousand ranks.  ``"bulk"`` runs ranks cooperatively, one
+        at a time on the calling thread, with wave-vectorized
+        collectives: op logs are shared program rows of interned opcode
+        ids, per-op results live in per-position value columns, and each
+        collective is one preallocated wave buffer — O(1) python objects
+        of engine state per rank, practical to a million ranks.  Rank
+        bodies may be re-executed when a collective unblocks (see
         :mod:`repro.simmpi.bulk` for the contract; guard non-idempotent
         effects with ``Comm.exec_once``).
         ``"proc"`` runs one OS *process* per rank with shared-memory
@@ -118,10 +114,6 @@ def run_spmd(
         past one core; payloads cross by value and backend handles must
         be picklable or rank-local (see :mod:`repro.simmpi.proc`).
         ``"thread"`` is accepted as an alias of ``"threads"``.
-    nworkers:
-        Bulk engine only: size of the worker pool (default
-        :func:`default_bulk_nworkers`, i.e.
-        ``min(32, (os.cpu_count() or 1) * 4)``).
     engine_stats:
         Bulk engine only: pass a dict to receive engine telemetry on
         return (execution counts, program rows, per-wave timings — see
@@ -145,8 +137,7 @@ def run_spmd(
         from repro.simmpi.bulk import run_spmd_bulk
 
         return run_spmd_bulk(
-            nprocs, fn, *args, timeout=timeout, nworkers=nworkers,
-            stats=engine_stats, **kwargs
+            nprocs, fn, *args, timeout=timeout, stats=engine_stats, **kwargs
         )
     if engine == "proc":
         from repro.simmpi.proc import run_spmd_proc

@@ -7,6 +7,7 @@ program in this repo's SION layer also follows.
 """
 
 import threading
+import time
 
 import pytest
 
@@ -94,10 +95,17 @@ def test_engine_conformance(name, program, nprocs):
     assert got == expected
 
 
-@pytest.mark.parametrize("nworkers", [1, 3])
-def test_worker_pool_sizes_agree(nworkers):
-    out = run_spmd(6, _collectives_mix, engine="bulk", nworkers=nworkers)
-    assert out == run_spmd(6, _collectives_mix)
+def test_bulk_ranks_run_on_calling_thread():
+    # No worker threads: every rank body, replays included, executes on
+    # the thread that called run_spmd.
+    idents = set()
+
+    def fn(c):
+        idents.add(threading.get_ident())
+        return _collectives_mix(c)
+
+    assert run_spmd(6, fn, engine="bulk") == run_spmd(6, _collectives_mix)
+    assert idents == {threading.get_ident()}
 
 
 # --------------------------------------------------------------------------
@@ -250,6 +258,39 @@ def test_bulk_timeout_fires():
     assert any("timed out" in m or "deadlock" in m for m in messages)
 
 
+def test_bulk_timeout_bounds_stalls_not_runs():
+    # Every execution makes progress within 0.1 s, so a 0.5 s timeout
+    # must not fire although the whole world takes well over a second.
+    def fn(c):
+        for _ in range(3):
+            c.exec_once(lambda: time.sleep(0.1))
+            c.barrier()
+        return c.rank
+
+    t0 = time.monotonic()
+    assert run_spmd(4, fn, engine="bulk", timeout=0.5) == list(range(4))
+    assert time.monotonic() - t0 > 0.5
+
+
+def test_bulk_stall_bound_checked_between_executions():
+    # Rank 1 parks after 0.3 s without depositing or finishing anything,
+    # so rank 2 is still runnable when the engine finds no progress for
+    # longer than the 0.1 s timeout.
+    def fn(c):
+        if c.rank == 1:
+            time.sleep(0.3)
+        if c.rank < 2:
+            c.recv(source=1 - c.rank)
+        return c.rank
+
+    with pytest.raises(SpmdWorkerError) as exc_info:
+        run_spmd(3, fn, engine="bulk", timeout=0.1)
+    failures = exc_info.value.failures
+    assert set(failures) == {0, 1, 2}
+    assert "parked on start" in str(failures[2])
+    assert all("stalled" in str(e) for e in failures.values())
+
+
 def test_cleanup_communication_during_suspend_is_deferred():
     # A with-block whose __exit__ communicates (like SionParallelFile's
     # parclose) must not corrupt the op log when a suspension unwinds
@@ -361,3 +402,37 @@ def test_thread_written_file_reads_under_bulk():
     assert run_spmd(4, read_task, engine="bulk") == [
         b"t%d" % r * 30 for r in range(4)
     ]
+
+
+def test_checkpoint_cycle_executions_and_waves_are_exact():
+    # One run queue on one thread schedules deterministically, so the
+    # replay multiplier and the wave count are exact, repeatable counts.
+    from repro.backends.simfs_backend import SimBackend
+    from repro.fs.simfs import SimFS
+    from repro.sion import paropen
+
+    ntasks = 4096
+
+    def cycle():
+        backend = SimBackend(SimFS(blocksize_override=4096))
+
+        def write(comm):
+            f = paropen("/ckpt.sion", "w", comm, chunksize=4096, fsblksize=4096,
+                        nfiles=4, backend=backend)
+            f.fwrite(bytes([comm.rank % 256]) * 64)
+            f.parclose()
+
+        def read(comm):
+            f = paropen("/ckpt.sion", "r", comm, backend=backend)
+            got = f.fread(64)
+            f.parclose()
+            return got
+
+        wstats, rstats = {}, {}
+        run_spmd(ntasks, write, engine="bulk", engine_stats=wstats)
+        got = run_spmd(ntasks, read, engine="bulk", engine_stats=rstats)
+        assert got == [bytes([r % 256]) * 64 for r in range(ntasks)]
+        return (wstats["executions"], rstats["executions"],
+                len(wstats["waves"]), len(rstats["waves"]))
+
+    assert [cycle() for _ in range(3)] == [(16386, 12287, 14, 7)] * 3

@@ -175,7 +175,7 @@ def test_bulk_replay_runs_wave_side_effect_once():
         c.barrier()  # force parking after the wave -> replays happen
         return out
 
-    out = run_spmd(6, program, engine="bulk", nworkers=2)
+    out = run_spmd(6, program, engine="bulk")
     assert effects == {0: 1, 2: 1, 4: 1}
     for rank, got in enumerate(out):
         group_root = (rank // 2) * 2
