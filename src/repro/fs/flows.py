@@ -12,8 +12,14 @@ each OST one quarter of the flow's rate (``weight=0.25``).  Flows sharing
 the same weighted resource set and cap are grouped into *profiles*; rates
 are computed per profile and completions inside a profile are tracked with
 a virtual-service accumulator, so symmetric workloads with tens of
-thousands of flows need only a handful of rate recomputations.  Use
-:meth:`FlowScheduler.batch` when submitting many flows at once.
+thousands of flows need only a handful of rate recomputations.
+
+Progressive filling charges a profile ``count x weight`` on each of its
+resources, so a profile's fair rate depends only on how many members it
+has.  A symmetric workload therefore submits one flow *class* per distinct
+path, ``submit(..., count=n)``, instead of ``n`` separate flows; the result
+is the same floats.  Use :meth:`FlowScheduler.batch` to defer the rate
+recomputation while submitting several classes at one instant.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import contextlib
 import heapq
 import itertools
 import math
+import operator
 from typing import Any, Callable, Iterator, Sequence, Union
 
 from repro.fs.events import Engine
@@ -60,14 +67,24 @@ def _normalize(resources: Sequence[ResourceSpec]) -> tuple[tuple["Resource", flo
     return tuple(out)
 
 
+def path_key(resources: Sequence[ResourceSpec]) -> tuple[tuple[int, float], ...]:
+    """Identity of a weighted resource path.
+
+    Flows whose paths have equal keys and equal rate caps share one
+    profile, and with it one fair rate.
+    """
+    return tuple((id(r), w) for r, w in _normalize(resources))
+
+
 class Flow:
-    """One transfer: ``size_mb`` across weighted resources, at most ``rate_cap``."""
+    """``count`` identical transfers of ``size_mb`` each, at most ``rate_cap`` apiece."""
 
     __slots__ = (
         "flow_id",
         "size_mb",
         "resources",
         "rate_cap",
+        "count",
         "on_complete",
         "start_time",
         "finish_time",
@@ -80,6 +97,7 @@ class Flow:
         size_mb: float,
         resources: tuple[tuple[Resource, float], ...],
         rate_cap: float,
+        count: int,
         on_complete: Callable[[float, "Flow"], None] | None,
         tag: Any,
     ) -> None:
@@ -87,6 +105,7 @@ class Flow:
         self.size_mb = size_mb
         self.resources = resources
         self.rate_cap = rate_cap
+        self.count = count
         self.on_complete = on_complete
         self.start_time: float = math.nan
         self.finish_time: float = math.nan
@@ -111,7 +130,7 @@ class _Profile:
         self.rate = 0.0
         # Cumulative MB served to each member flow since profile creation.
         self.service = 0.0
-        # Heap of (service level at which the flow completes, id, flow).
+        # Heap of (service level at which the class completes, id, flow).
         self.heap: list[tuple[float, int, Flow]] = []
         self.count = 0
 
@@ -147,14 +166,27 @@ class FlowScheduler:
         rate_cap: float = math.inf,
         on_complete: Callable[[float, Flow], None] | None = None,
         tag: Any = None,
+        count: int = 1,
     ) -> Flow:
-        """Start a flow at the current virtual time."""
+        """Start a class of ``count`` identical flows at the current virtual time.
+
+        Each member moves ``size_mb`` over ``resources`` at most at
+        ``rate_cap``; the class counts ``count`` times in the fair share, so
+        it behaves exactly like ``count`` separate submits.  The members
+        start and finish together: the returned :class:`Flow` carries their
+        shared ``finish_time``, and ``on_complete`` fires once for the class.
+        """
         if size_mb < 0:
             raise ValueError(f"negative flow size: {size_mb}")
         if rate_cap <= 0:
             raise ValueError(f"rate cap must be positive, got {rate_cap}")
+        count = operator.index(count)
+        if count < 1:
+            raise ValueError(f"flow class needs at least one member, got {count}")
         weighted = _normalize(resources)
-        flow = Flow(next(self._ids), float(size_mb), weighted, rate_cap, on_complete, tag)
+        flow = Flow(
+            next(self._ids), float(size_mb), weighted, rate_cap, count, on_complete, tag
+        )
         flow.start_time = self.engine.now
         if size_mb <= _EPS:
             # Zero-byte transfer: completes instantly, no bandwidth involved.
@@ -165,14 +197,14 @@ class FlowScheduler:
         self._advance_service()
         prof = self._get_profile(weighted, flow.rate_cap)
         heapq.heappush(prof.heap, (prof.service + flow.size_mb, flow.flow_id, flow))
-        prof.count += 1
+        prof.count += count
         if not self._deferred:
             self._recompute_and_reschedule()
         return flow
 
     @contextlib.contextmanager
     def batch(self) -> Iterator[None]:
-        """Defer rate recomputation while submitting many flows at once."""
+        """Defer rate recomputation while submitting many flow classes at once."""
         self._deferred = True
         try:
             yield
@@ -182,7 +214,7 @@ class FlowScheduler:
 
     @property
     def active_flows(self) -> int:
-        """Number of flows still transferring."""
+        """Number of flows still transferring (members, not classes)."""
         return sum(p.count for p in self._profiles.values())
 
     # -- internals ------------------------------------------------------------
@@ -190,7 +222,7 @@ class FlowScheduler:
     def _get_profile(
         self, resources: tuple[tuple[Resource, float], ...], cap: float
     ) -> _Profile:
-        key = (tuple((id(r), w) for r, w in resources), cap)
+        key = (path_key(resources), cap)
         prof = self._profiles.get(key)
         if prof is None:
             prof = _Profile(resources, cap)
@@ -311,7 +343,7 @@ class FlowScheduler:
             prof.service = max((t for t, _, _ in prof.heap), default=prof.service)
         while prof.heap and prof.heap[0][0] <= prof.service + _EPS * max(1.0, prof.service):
             _, _, flow = heapq.heappop(prof.heap)
-            prof.count -= 1
+            prof.count -= flow.count
             flow.finish_time = self.engine.now
             finished.append(flow)
         self._recompute_and_reschedule()

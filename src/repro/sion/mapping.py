@@ -158,7 +158,13 @@ class TaskMapping:
 
     def ntasks_of_file(self, filenum: int) -> int:
         """Number of tasks mapped to ``filenum``."""
-        return len(self.tasks_of_file(filenum))
+        if not 0 <= filenum < self.nfiles:
+            raise SionUsageError(f"file {filenum} out of range ({self.nfiles})")
+        return int(self.file_counts()[filenum])
+
+    def file_counts(self) -> np.ndarray:
+        """Number of tasks per physical file, indexed by file number."""
+        return np.bincount(self._files_array, minlength=self.nfiles)
 
     # -- internals ----------------------------------------------------------------
 

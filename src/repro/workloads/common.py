@@ -12,6 +12,11 @@ resources:
   striping), depending on the profile's file-system type;
 * optional false-sharing inflation (Table 1) and stripe-depth efficiency.
 
+The tasks are symmetric, so the simulation submits one flow class per
+distinct path, not one flow per task: a file's tasks share its path, and
+files with identical weighted paths (all task-local GPFS files, Lustre
+files on the same OST set) share one class.
+
 All experiments funnel through this one function, so the figures differ
 only in the scenario parameters — exactly how the paper's measurement
 campaigns were structured.
@@ -26,7 +31,7 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.fs.events import Engine
-from repro.fs.flows import FlowScheduler, Resource
+from repro.fs.flows import FlowScheduler, Resource, path_key
 from repro.fs.striping import StripingPolicy
 from repro.fs.systems import SystemProfile
 from repro.sion.mapping import TaskMapping
@@ -126,16 +131,20 @@ def parallel_io(
     )
 
     # Tasks -> files, blocked (the SION default); task-local is identity.
-    tmap = TaskMapping.blocked(ntasks, nfiles)
+    # Files with identical weighted paths pool their tasks into one class.
+    counts = TaskMapping.blocked(ntasks, nfiles).file_counts().tolist()
+    classes: dict[tuple, list] = {}
+    for fres, n in zip(file_resources, counts):
+        path = (clients, backplane, *fres)
+        classes.setdefault(path_key(path), [path, 0])[1] += n
 
     engine = Engine()
     sched = FlowScheduler(engine)
-    flows = []
     with sched.batch():
-        for t in range(ntasks):
-            fnum = t if tasklocal else tmap.file_of(t)
-            resources = (clients, backplane, *file_resources[fnum])
-            flows.append(sched.submit(per_task_mb, resources, rate_cap=rate_cap))
+        flows = [
+            sched.submit(per_task_mb, path, rate_cap=rate_cap, count=n)
+            for path, n in classes.values()
+        ]
     engine.run()
     if sched.active_flows:
         raise ReproError("transfer stalled: a resource has zero capacity")
